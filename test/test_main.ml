@@ -19,4 +19,5 @@ let () =
       ("server", Test_server.suite);
       ("cluster", Test_cluster.suite);
       ("integration", Test_integration.suite);
+      ("golden", Test_golden.suite);
     ]
