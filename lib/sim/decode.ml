@@ -1,11 +1,12 @@
-(* Predecoded flat instruction stream for the functional fast-forward
-   interpreter.
+(* Predecoded flat instruction stream: the one executable form of the ISA.
 
-   The boxed {!Ssp_isa.Op.t} representation costs the hot loop a chain of
-   dependent heap loads per instruction (blocks array -> block record ->
+   The boxed {!Ssp_isa.Op.t} representation costs an interpreter a chain
+   of dependent heap loads per instruction (blocks array -> block record ->
    ops array -> constructor block -> argument fields). Decoding each
    function once into flat [int array]s turns the fetch into two contiguous
-   array reads and the dispatch into an integer switch.
+   array reads and the dispatch into an integer switch. {!Exec.step} is
+   the only code that executes these words; [Op.t] stays the IR and the
+   source of timing facts (operands, latency).
 
    Word layout (63-bit OCaml int):
 
@@ -14,12 +15,10 @@
      bits 13..19  a   (first source / base register)
      bits 20..26  b   (second source register)
      bits 27..62  imm (signed: memory offset, branch target block index,
-                       callee index into [Layout.by_index], or index into
-                       [imms] for 64-bit immediates)
+                       callee index into [Layout.by_index], live-in slot,
+                       or index into [imms] for 64-bit immediates)
 
-   Opcode map — the interpreter in {!Smt.fast_forward} matches these as
-   literal patterns, so the two files must change together (the sampling
-   tests pin them: sampled and full runs must produce identical outputs):
+   Opcode map:
 
       0 nop            1 movi d,imms[imm]   2 mov d,a
       3..12  alu  d,a,b     (add sub mul div rem and or xor shl shr)
@@ -30,12 +29,14 @@
      39..42  store [a+imm],d   (widths 1 2 4 8; source in d field)
      43 lfetch [a+imm]    44 br imm       45 brnz a,imm   46 brz a,imm
      47 call imm          48 ret          49 halt         50 kill
-     51 chk imm           52 rand d       53 slow
+     51 chk imm           52 rand d       53 icall a
+     54 spawn imms[imm]   (callee index lsl 32 lor block index)
+     55 lib.st imm,a      56 lib.ld d,imm (slot; -1 when out of range)
+     57 alloc d,a         58 print a
 
-   [slow] marks the rare ops the interpreter executes through
-   {!Exec.step_op} on the boxed form (icall, spawn, lib.st/ld, alloc,
-   print — and any op whose static target did not resolve, preserving the
-   original execution-time error behavior). *)
+   Every static target (branch, chk.c and spawn labels, call and spawn
+   callees) is resolved here; a program naming an unknown one is rejected
+   with [Invalid_argument] before anything executes. *)
 
 type t = {
   code : int array array;  (* per block: one packed word per instruction *)
@@ -50,7 +51,8 @@ type t = {
 
 let imm_bits = 36
 let imm_mask = (1 lsl imm_bits) - 1
-let opc_slow = 53
+let imm_max = (1 lsl (imm_bits - 1)) - 1
+let fits v = v >= -imm_max - 1 && v <= imm_max
 
 let enc ?(d = 0) ?(a = 0) ?(b = 0) ?(imm = 0) opc =
   opc lor (d lsl 6) lor (a lsl 13) lor (b lsl 20)
@@ -82,10 +84,12 @@ let width_code : Ssp_isa.Op.width -> int = function
   | W4 -> 2
   | W8 -> 3
 
-(* [func_index] resolves a callee name to its index in the program's
-   function table, or -1 when unknown (the call then decodes as [slow] and
-   fails at execution time exactly as the boxed interpreter would). *)
-let decode_func ~func_index (f : Ssp_ir.Prog.func) =
+let decode_func ~find (f : Ssp_ir.Prog.func) =
+  let fail fmt =
+    Printf.ksprintf
+      (fun s -> invalid_arg (Printf.sprintf "Decode: function %s: %s" f.name s))
+      fmt
+  in
   let imms = ref [] and n_imm = ref 0 in
   let imm64 v =
     let k = !n_imm in
@@ -93,11 +97,18 @@ let decode_func ~func_index (f : Ssp_ir.Prog.func) =
     incr n_imm;
     k
   in
-  let blk_idx l =
-    match Ssp_ir.Prog.block_index f l with
+  let label_in (g : Ssp_ir.Prog.func) l =
+    match Ssp_ir.Prog.block_index g l with
     | i -> i
-    | exception _ -> -1
+    | exception Not_found -> fail "no block %s in function %s" l g.name
   in
+  let callee name =
+    match find name with
+    | Some fi -> fi
+    | None -> fail "unknown function %s" name
+  in
+  let off o = if fits o then o else fail "memory offset %d out of range" o in
+  let slot s = if fits s then s else -1 in
   let code =
     Array.map
       (fun (b : Ssp_ir.Prog.block) ->
@@ -111,31 +122,28 @@ let decode_func ~func_index (f : Ssp_ir.Prog.func) =
             | Alui (o, d, a, i) -> enc (13 + alu_code o) ~d ~a ~imm:(imm64 i)
             | Cmp (o, d, a, b) -> enc (23 + cmp_code o) ~d ~a ~b
             | Cmpi (o, d, a, i) -> enc (29 + cmp_code o) ~d ~a ~imm:(imm64 i)
-            | Load (w, d, b, off) -> enc (35 + width_code w) ~d ~a:b ~imm:off
-            | Store (w, s, b, off) ->
-              enc (39 + width_code w) ~d:s ~a:b ~imm:off
-            | Lfetch (b, off) -> enc 43 ~a:b ~imm:off
-            | Br l ->
-              let t = blk_idx l in
-              if t < 0 then enc opc_slow else enc 44 ~imm:t
-            | Brnz (s, l) ->
-              let t = blk_idx l in
-              if t < 0 then enc opc_slow else enc 45 ~a:s ~imm:t
-            | Brz (s, l) ->
-              let t = blk_idx l in
-              if t < 0 then enc opc_slow else enc 46 ~a:s ~imm:t
-            | Call (callee, _) ->
-              let fi = func_index callee in
-              if fi < 0 then enc opc_slow else enc 47 ~imm:fi
+            | Load (w, d, b, o) -> enc (35 + width_code w) ~d ~a:b ~imm:(off o)
+            | Store (w, s, b, o) ->
+              enc (39 + width_code w) ~d:s ~a:b ~imm:(off o)
+            | Lfetch (b, o) -> enc 43 ~a:b ~imm:(off o)
+            | Br l -> enc 44 ~imm:(label_in f l)
+            | Brnz (s, l) -> enc 45 ~a:s ~imm:(label_in f l)
+            | Brz (s, l) -> enc 46 ~a:s ~imm:(label_in f l)
+            | Call (name, _) -> enc 47 ~imm:(fst (callee name))
             | Ret -> enc 48
             | Halt -> enc 49
             | Kill -> enc 50
-            | Chk_c l ->
-              let t = blk_idx l in
-              if t < 0 then enc opc_slow else enc 51 ~imm:t
+            | Chk_c l -> enc 51 ~imm:(label_in f l)
             | Rand d -> enc 52 ~d
-            | Icall _ | Spawn _ | Lib_st _ | Lib_ld _ | Alloc _ | Print _ ->
-              enc opc_slow)
+            | Icall (r, _) -> enc 53 ~a:r
+            | Spawn (name, l) ->
+              let fi, g = callee name in
+              let target = (fi lsl 32) lor label_in g l in
+              enc 54 ~imm:(imm64 (Int64.of_int target))
+            | Lib_st (s, r) -> enc 55 ~a:r ~imm:(slot s)
+            | Lib_ld (d, s) -> enc 56 ~d ~imm:(slot s)
+            | Alloc (d, s) -> enc 57 ~d ~a:s
+            | Print s -> enc 58 ~a:s)
           b.ops)
       f.blocks
   in

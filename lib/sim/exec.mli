@@ -1,11 +1,13 @@
-(** Functional semantics of a single instruction.
+(** The semantics of the ISA: the one interpreter, over {!Decode}'s packed
+    words.
 
     [step] performs all architectural effects (registers, memory, program
     counter, frames) and reports what happened so the timing models can
     account latency. Timing-directed decisions — whether [Chk_c] finds a
     free context, whether [Spawn] succeeds — are delegated to the [env]
-    callbacks; the functional simulator and the cycle simulators plug in
-    different policies.
+    callbacks; the functional simulator, the profiler, the cycle simulators
+    and the fast-forward loop plug in different policies and observe the
+    same semantics.
 
     Speculative threads never write memory or allocate: stores and [Alloc]
     in a speculative context are executed as nops (the tool excludes them
@@ -22,20 +24,20 @@ type env = {
           spawning [Spawn] instruction (for attribution). *)
   output : int64 -> unit;  (** observable output of [Print] *)
   mutable ev_addr : int64;
-      (** effective address of the most recent [Ev_load]/[Ev_store]/
-          [Ev_prefetch]; undefined after other events *)
+      (** unused by [step], which leaves the effective address unboxed in
+          [Thread.addr]; kept so existing record literals still build *)
 }
 
 (** All constructors are constant (immediate values): the per-instruction
-    hot path allocates nothing to report its event. Addresses travel in
-    [env.ev_addr]. *)
+    hot path allocates nothing to report its event. *)
 type event =
   | Ev_plain
-  | Ev_load  (** address in [env.ev_addr] *)
-  | Ev_store  (** address in [env.ev_addr] *)
-  | Ev_prefetch  (** address in [env.ev_addr] *)
-  | Ev_branch_taken
-  | Ev_branch_not_taken
+  | Ev_load  (** address in [Thread.addr] *)
+  | Ev_store  (** address in [Thread.addr] *)
+  | Ev_prefetch  (** address in [Thread.addr] *)
+  | Ev_jump  (** unconditional branch *)
+  | Ev_branch_taken  (** conditional branch *)
+  | Ev_branch_not_taken  (** conditional branch *)
   | Ev_call
   | Ev_ret
   | Ev_halt
@@ -46,27 +48,8 @@ type event =
   | Ev_spawn_denied
   | Ev_lib  (** live-in buffer access *)
 
-val step : env -> Thread.t -> event
-(** Execute the instruction at the thread's pc and advance the pc. The
-    thread must be active and its pc valid ([blk]/[ins] in range); a pc one
-    past the last instruction of a block falls through to the next block
-    first. *)
-
-val step_op : env -> Thread.t -> Ssp_ir.Prog.func -> Ssp_isa.Op.t -> event
-(** [step] without the pc normalization and instruction fetch: the caller
-    passes the thread's current function and the instruction at its
-    (already normalized) pc. The cycle models and the fast-forward loop
-    fetch the instruction anyway for their own bookkeeping; this avoids
-    doing it twice per instruction. *)
-
-val func_of : Ssp_ir.Prog.t -> Thread.t -> Ssp_ir.Prog.func
-(** The thread's current function, memoized in the thread (physical
-    equality on [fn]); allocation-free on the hit path. *)
-
-val instr_at : Ssp_ir.Prog.t -> Thread.t -> Ssp_isa.Op.t
-(** The instruction the thread will execute next (after fall-through
-    normalization). *)
-
-val normalize_pc : Ssp_ir.Prog.t -> Thread.t -> unit
-(** Apply fall-through: while [ins] is past the end of the current block,
-    move to the next block in layout. *)
+val step : env -> Layout.t -> Thread.t -> event
+(** Execute the instruction at the thread's (settled) pc and advance the
+    pc, settling it again. The thread must be active; [Layout.t] must be
+    the layout of [env.prog]. Fails with [Invalid_argument] when control
+    fell off the end of the function. *)

@@ -21,15 +21,17 @@ type result = {
 val run :
   ?max_instrs:int ->
   ?spawning:bool ->
-  ?hook:
-    (Exec.env -> Thread.t -> Ssp_ir.Iref.t -> Ssp_isa.Op.t -> Exec.event -> unit) ->
+  ?hook:(Thread.t -> int -> Exec.event -> unit) ->
   Ssp_ir.Prog.t ->
   result
 (** Execute from the program entry. [max_instrs] (default 200M) bounds the
-    main thread; exceeding it raises [Failure]. The [hook] receives the
-    execution environment first (event payloads such as the effective
-    address live in [env.ev_addr]) and fires after each
-    executed instruction of {e any} thread. With [spawning] (default false)
-    a spawned thread runs for a bounded slice of instructions interleaved
-    with the main thread, mimicking concurrency coarsely; at most 3
-    speculative contexts exist at once (4 contexts − main). *)
+    main thread; exceeding it raises [Failure]. The [hook] fires after each
+    executed instruction of {e any} thread with the thread (the effective
+    address of a memory event is in [Thread.addr]), the dense {!Layout} pc
+    id of the instruction ({!Layout.iref_of} maps it back) and its event.
+    With [spawning] (default false) a spawned thread runs for a bounded
+    slice of instructions interleaved with the main thread, mimicking
+    concurrency coarsely; at most 3 speculative contexts exist at once
+    (4 contexts − main). A program with an unresolved static target fails
+    with [Invalid_argument] before anything runs (see
+    {!Decode.decode_func}). *)

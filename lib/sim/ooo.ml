@@ -129,8 +129,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
     if not th.Thread.active then false
     else if ot.rob_n >= cfg.Config.rob_entries then false
     else begin
-      Exec.normalize_pc prog th;
-      let e = Smt.layout_of m ctx in
+      let e = th.Thread.lay in
       let blk0 = th.Thread.blk and ins0 = th.Thread.ins in
       let pcid = e.Layout.block_base.(blk0) + ins0 in
       let op = e.Layout.func.Ssp_ir.Prog.blocks.(blk0).ops.(ins0) in
@@ -144,13 +143,7 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
       if ready_at > !now && ot.waiting >= cfg.Config.rs_entries then false
       else if ready_at - !now >= rs_horizon then false
       else begin
-        let is_cond =
-          match op with Op.Brnz _ | Op.Brz _ -> true | _ -> false
-        in
-        let predicted =
-          is_cond && Bpred.predict m.Smt.bp ~thread:th.Thread.id ~pc:pcid
-        in
-        let ev = Exec.step env th in
+        let ev = Exec.step env m.Smt.lay th in
         if th.Thread.id = 0 then begin
           stats.Stats.main_instrs <- stats.Stats.main_instrs + 1;
           decr detail_left
@@ -161,7 +154,10 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
         (match ev with
         | Exec.Ev_load ->
           let start = acquire_port ready_at in
-          let o = Smt.demand_access m ~now:start ~ctx ~pc:pcid env.Exec.ev_addr in
+          let o =
+            Smt.demand_access m ~now:start ~ctx ~pc:pcid
+              (Int64.of_int th.Thread.addr)
+          in
           complete := o.Hierarchy.ready
         | Exec.Ev_store -> (
           let start = acquire_port ready_at in
@@ -169,39 +165,46 @@ let run ?attrib ?sampling (cfg : Config.t) (prog : Ssp_ir.Prog.t) =
           | None ->
             ignore
               (Hierarchy.demand m.Smt.hier ~now:start ~low_priority:false
-                 env.Exec.ev_addr)
+                 (Int64.of_int th.Thread.addr))
           | Some _ ->
             ignore
               (Hierarchy.access m.Smt.hier ~now:start
-                 ~demand_main:(th.Thread.id = 0) env.Exec.ev_addr));
+                 ~demand_main:(th.Thread.id = 0)
+                 (Int64.of_int th.Thread.addr)));
           complete := start + 1)
         | Exec.Ev_prefetch -> (
           stats.Stats.prefetches <- stats.Stats.prefetches + 1;
           let start = acquire_port ready_at in
           (match m.Smt.attrib with
           | None ->
-            ignore (Hierarchy.prefetch m.Smt.hier ~now:start env.Exec.ev_addr)
+            ignore
+              (Hierarchy.prefetch m.Smt.hier ~now:start
+                 (Int64.of_int th.Thread.addr))
           | Some _ ->
             let iref = Layout.iref_of m.Smt.lay pcid in
             ignore
               (Hierarchy.access m.Smt.hier ~now:start ~prefetch:true
-                 ?pf_tag:(Smt.pf_tag_of m ctx iref) env.Exec.ev_addr));
+                 ?pf_tag:(Smt.pf_tag_of m ctx iref)
+                 (Int64.of_int th.Thread.addr)));
           complete := start + 1)
         | Exec.Ev_branch_taken | Exec.Ev_branch_not_taken ->
+          (* The prediction reads tables the step never touches. *)
           let taken = ev = Exec.Ev_branch_taken in
-          if is_cond then begin
-            Bpred.update m.Smt.bp ~thread:th.Thread.id ~pc:pcid ~taken;
-            if predicted <> taken then begin
-              stats.Stats.mispredicts <- stats.Stats.mispredicts + 1;
-              (* Redirect when the branch resolves. *)
-              ctx.Smt.redirect_until <- !complete + cfg.Config.front_end_penalty
-            end
-            else if taken && not (Bpred.btb_lookup m.Smt.bp ~pc:pcid) then begin
-              Bpred.btb_insert m.Smt.bp ~pc:pcid;
-              ctx.Smt.redirect_until <- !now + 2
-            end
+          let predicted =
+            Bpred.predict m.Smt.bp ~thread:th.Thread.id ~pc:pcid
+          in
+          Bpred.update m.Smt.bp ~thread:th.Thread.id ~pc:pcid ~taken;
+          if predicted <> taken then begin
+            stats.Stats.mispredicts <- stats.Stats.mispredicts + 1;
+            (* Redirect when the branch resolves. *)
+            ctx.Smt.redirect_until <- !complete + cfg.Config.front_end_penalty
           end
-          else if not (Bpred.btb_lookup m.Smt.bp ~pc:pcid) then begin
+          else if taken && not (Bpred.btb_lookup m.Smt.bp ~pc:pcid) then begin
+            Bpred.btb_insert m.Smt.bp ~pc:pcid;
+            ctx.Smt.redirect_until <- !now + 2
+          end
+        | Exec.Ev_jump ->
+          if not (Bpred.btb_lookup m.Smt.bp ~pc:pcid) then begin
             Bpred.btb_insert m.Smt.bp ~pc:pcid;
             ctx.Smt.redirect_until <- !now + 1
           end

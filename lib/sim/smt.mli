@@ -42,10 +42,6 @@ type context = {
   mutable spawn_src : Ssp_ir.Iref.t option;
       (** the [Spawn] instruction that bound this occupancy *)
   mutable spawn_target : string;  (** "fn#blk" label for timeline events *)
-  lay_fns : string array;
-      (** physical-equality keys of [lays], most recent first: four
-          move-to-front slots keep call/return cycles off the Hashtbl *)
-  lays : Layout.entry array;  (** memoized layout entries *)
 }
 
 type machine = {
@@ -76,10 +72,6 @@ val create : ?attrib:Attrib.t -> Ssp_machine.Config.t -> Ssp_ir.Prog.t -> machin
 (** Context 0 is the main thread, initialized at the program entry.
     [attrib] attaches prefetch-lifecycle attribution to the machine and
     its hierarchy (bookkeeping only; timing is unchanged). *)
-
-val layout_of : machine -> context -> Layout.entry
-(** The layout entry of the context's current function, memoized in the
-    context (physical equality on [fn]); allocation-free on the hit path. *)
 
 val chk_allowed : machine -> now:int -> context -> bool
 (** Whether a [chk.c] of this thread fires now: enough free contexts and
