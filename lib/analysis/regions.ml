@@ -86,7 +86,7 @@ let parent t = function
     | Some pid -> Some (Loop (fn, pid))
     | None -> Some (Proc fn))
 
-let func_of = function Proc fn -> fn | Loop (fn, _) -> fn
+let fn_of = function Proc fn -> fn | Loop (fn, _) -> fn
 
 let blocks_of t = function
   | Proc fn ->

@@ -34,7 +34,7 @@ val parent : t -> region -> region option
 (** Enclosing region within the same function ([None] for a [Proc];
     crossing to callers is the tool's decision, made with profile data). *)
 
-val func_of : region -> string
+val fn_of : region -> string
 
 val blocks_of : t -> region -> int list
 (** Block indices the region covers. *)

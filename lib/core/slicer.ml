@@ -34,7 +34,7 @@ let slice_region regions profile ~region (d : Delinquent.load) =
   T.with_span "slice" @@ fun () ->
   T.incr (T.counter "slice.attempts");
   let fn = d.Delinquent.iref.Ssp_ir.Iref.fn in
-  if not (String.equal (Regions.func_of region) fn) then None
+  if not (String.equal (Regions.fn_of region) fn) then None
   else if d.Delinquent.addr_reg = Reg.zero then None
   else begin
     let reach = Regions.reaching_of regions fn in

@@ -103,7 +103,7 @@ let finish b : Prog.func =
     code_id = b.code_id;
   }
 
-let func_of_blocks ?code_id ~name ~nparams blocks =
+let of_blocks ?code_id ~name ~nparams blocks =
   let b = create ?code_id ~name ~nparams () in
   List.iter
     (fun (label, ops) ->

@@ -29,7 +29,7 @@ val finish : t -> Prog.func
 (** Seal and return the function. The entry block is the first one started
     (or ["entry"], created implicitly if [emit] is called first). *)
 
-val func_of_blocks :
+val of_blocks :
   ?code_id:int ->
   name:string ->
   nparams:int ->

@@ -109,7 +109,7 @@ let access t addr =
    warming hot path. State effects match access-then-install exactly up to
    LRU clock values (a hit is touched once instead of twice; relative
    recency order, tags, and hit/miss counts are identical). *)
-let warm_access_i t a =
+let warm_access t a =
   t.accesses <- t.accesses + 1;
   let line = line_of_i t a in
   let s = set_of t line in
@@ -146,8 +146,6 @@ let warm_access_i t a =
     lru.(!victim) <- t.clock;
     false
   end
-
-let warm_access t addr = warm_access_i t (Int64.to_int addr)
 
 let line_addr t addr =
   Int64.shift_left (Int64.of_int (line_of t addr)) t.line_bits

@@ -21,15 +21,12 @@ val install : t -> int64 -> unit
 val access : t -> int64 -> bool
 (** [probe]; on hit also [touch]. Returns whether it hit. *)
 
-val warm_access : t -> int64 -> bool
+val warm_access : t -> int -> bool
 (** [access], and on a miss also [install], in one set scan: the
     functional-warming hot path. Equivalent to [access] followed by
     [install] up to LRU clock values (identical tags, recency order, and
-    hit/miss counts). *)
-
-val warm_access_i : t -> int -> bool
-(** [warm_access] with the address as a native int (62-bit address
-    space) — no int64 boxing on the warming path. *)
+    hit/miss counts). The address is a native int (62-bit address space),
+    so the warming path never boxes. *)
 
 val line_addr : t -> int64 -> int64
 

@@ -260,7 +260,7 @@ let reset_warm_filter t =
   t.warm_dline <- -1;
   t.warm_iline <- -1
 
-let warm_i t a =
+let warm t a =
   match t.cfg.memory_mode with
   | Config.Perfect_memory -> ()
   | Config.Normal | Config.Perfect_delinquent _ ->
@@ -268,15 +268,13 @@ let warm_i t a =
     let line = a lsr t.warm_shift in
     if line <> t.warm_dline then begin
       t.warm_dline <- line;
-      if not (Cache.warm_access_i t.l1d a) then begin
-        ignore (Cache.warm_access_i t.l2 a);
-        ignore (Cache.warm_access_i t.l3 a)
+      if not (Cache.warm_access t.l1d a) then begin
+        ignore (Cache.warm_access t.l2 a);
+        ignore (Cache.warm_access t.l3 a)
       end
     end
 
-let warm t addr = warm_i t (Int64.to_int addr)
-
-let warm_ifetch_i t a =
+let warm_ifetch t a =
   match t.cfg.memory_mode with
   | Config.Perfect_memory -> ()
   | Config.Normal | Config.Perfect_delinquent _ ->
@@ -284,7 +282,7 @@ let warm_ifetch_i t a =
     let line = a lsr t.warm_shift in
     if line <> t.warm_iline then begin
       t.warm_iline <- line;
-      ignore (Cache.warm_access_i t.l1i a)
+      ignore (Cache.warm_access t.l1i a)
     end
 
 let pp_level ppf l =

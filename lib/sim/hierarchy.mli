@@ -68,18 +68,15 @@ val prefetch : t -> now:int -> int64 -> outcome
 (** An untagged prefetch (equivalent to [access ~prefetch:true] with no
     attribution tag); the hot path when attribution is off. *)
 
-val warm : t -> int64 -> unit
+val warm : t -> int -> unit
 (** Functional warming (sampled simulation): install the line at every
     level with no timing, fill-buffer traffic or attribution. Consecutive
     touches of one line collapse to a single access (exact for LRU state:
     no other line moved in between); call {!reset_warm_filter} whenever a
-    timed access may have intervened. *)
+    timed access may have intervened. The address is a native int (62-bit
+    address space), as {!Thread.addr} carries it. *)
 
-val warm_i : t -> int -> unit
-(** [warm] with the address as a native int (62-bit address space) — the
-    decoded fast-forward loop computes addresses without int64 boxing. *)
-
-val warm_ifetch_i : t -> int -> unit
+val warm_ifetch : t -> int -> unit
 (** Functional warming of the instruction cache (int fetch address, as
     precomputed in [Layout.blk0_iaddr]). *)
 

@@ -166,7 +166,7 @@ let test_reaching () =
   (* entry: r40 <- 1; brnz r41, other; fall: r40 <- 2; br join;
      other: nop; join: use r40 *)
   let f =
-    Ssp_ir.Builder.func_of_blocks ~name:"main" ~nparams:1
+    Ssp_ir.Builder.of_blocks ~name:"main" ~nparams:1
       [
         ("entry", [ Op.Movi (40, 1L); Op.Brnz (Reg.arg 0, "other") ]);
         ("fall", [ Op.Movi (40, 2L); Op.Br "join" ]);
@@ -190,7 +190,7 @@ let test_reaching_loop_carried () =
   (* loop: r40 <- r40 + 1, conditional back edge; the use of r40 sees both
      the init (intra on first entry) and the loop def (around back edge). *)
   let f =
-    Ssp_ir.Builder.func_of_blocks ~name:"main" ~nparams:0
+    Ssp_ir.Builder.of_blocks ~name:"main" ~nparams:0
       [
         ("entry", [ Op.Movi (40, 0L) ]);
         ( "loop",

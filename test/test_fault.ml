@@ -191,7 +191,7 @@ let runaway_program () =
   let open Op in
   let c = 40 and v = 41 and a = 42 in
   let main =
-    Builder.func_of_blocks ~name:"main" ~nparams:0
+    Builder.of_blocks ~name:"main" ~nparams:0
       [
         ( "entry",
           [
@@ -206,7 +206,7 @@ let runaway_program () =
       ]
   in
   let helper =
-    Builder.func_of_blocks ~name:"helper" ~nparams:0
+    Builder.of_blocks ~name:"helper" ~nparams:0
       [
         ("entry", [ Movi (a, 1L); Br "hloop" ]);
         ( "hloop",

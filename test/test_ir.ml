@@ -26,7 +26,7 @@ let fact_func () =
   Builder.finish b
 
 let main_calls_fact n =
-  Builder.func_of_blocks ~name:"main" ~nparams:0
+  Builder.of_blocks ~name:"main" ~nparams:0
     [
       ( "entry",
         [
@@ -61,7 +61,7 @@ let test_validate_ok () =
 let test_validate_catches () =
   (* Unresolved label. *)
   let f =
-    Builder.func_of_blocks ~name:"main" ~nparams:0
+    Builder.of_blocks ~name:"main" ~nparams:0
       [ ("entry", [ Op.Br "nowhere" ]) ]
   in
   let p = Prog.create ~entry:"main" in
@@ -71,7 +71,7 @@ let test_validate_catches () =
   | Ok () -> Alcotest.fail "expected unresolved-label error");
   (* Missing terminator in last block. *)
   let f2 =
-    Builder.func_of_blocks ~name:"main" ~nparams:0 [ ("entry", [ Op.Nop ]) ]
+    Builder.of_blocks ~name:"main" ~nparams:0 [ ("entry", [ Op.Nop ]) ]
   in
   let p2 = Prog.create ~entry:"main" in
   Prog.add_func p2 f2;
@@ -80,7 +80,7 @@ let test_validate_catches () =
   | Ok () -> Alcotest.fail "expected fallthrough error");
   (* Call to an undefined function. *)
   let f3 =
-    Builder.func_of_blocks ~name:"main" ~nparams:0
+    Builder.of_blocks ~name:"main" ~nparams:0
       [ ("entry", [ Op.Call ("ghost", 0); Op.Halt ]) ]
   in
   let p3 = Prog.create ~entry:"main" in

@@ -3,9 +3,9 @@
    The sampled mode's contract has two halves:
 
    - outputs are BYTE-IDENTICAL to the full-detail run (fast-forward is
-     architecturally exact — it executes every instruction, it only skips
-     the timing model), which also pins the decoded fast-forward
-     interpreter against the boxed [Exec.step_op] semantics, and
+     architecturally exact — it executes every instruction through the
+     same [Exec.step] as the cycle cores, it only skips the timing model;
+     test_golden pins both against recorded digests), and
    - the extrapolated timing is close: IPC within 3% and the L1d miss
      rate within 3 points of the full run, on every suite workload and
      both cycle cores.
@@ -42,9 +42,9 @@ let check_accuracy pipeline () =
     Ssp_workloads.Suite.all
 
 (* Sampled runs of an ADAPTED binary must also keep outputs identical:
-   the fast-forward interpreter executes the injected speculative-thread
-   machinery (spawn/kill/chk take the slow path) without letting it
-   commit state. *)
+   fast-forward executes the injected speculative-thread machinery
+   (chk.c never fires there; spawns still bind contexts) without letting
+   it commit state. *)
 let sampled_adapted () =
   let open Ssp_harness.Experiment in
   let cfg = config_for setting Ssp_machine.Config.In_order in
