@@ -915,10 +915,11 @@ let simspeed_point ~setting ~core =
 
 (* Minor-heap words allocated per simulated cycle on a full-detail run.
    The core loops themselves are allocation-free (pooled threads/frames,
-   flat arrays, no per-cycle closures); what remains — around 4 words
-   per cycle — is Int64 temporaries from executing the boxed ops in the
-   detailed path. The number is a tripwire: reintroducing a per-cycle
-   closure, queue, or list shows up as a multiple of it. *)
+   flat arrays, unboxed registers, no per-cycle closures); what remains
+   is the boxed values Memory returns for loads and the Int64 addresses
+   and outcome records of the cores' hierarchy calls. The number is a
+   tripwire: reintroducing a per-cycle closure, queue, or list shows up
+   as a multiple of it. *)
 let alloc_probe ~setting ~core =
   let open Ssp_harness.Experiment in
   let pipeline, run =
