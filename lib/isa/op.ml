@@ -166,28 +166,6 @@ let branch_targets = function
   | Chk_c _ -> [] (* recovery stubs are not normal control flow *)
   | _ -> []
 
-let alu_eval op a b =
-  match op with
-  | Add -> Int64.add a b
-  | Sub -> Int64.sub a b
-  | Mul -> Int64.mul a b
-  | Div -> if Int64.equal b 0L then 0L else Int64.div a b
-  | Rem -> if Int64.equal b 0L then 0L else Int64.rem a b
-  | And -> Int64.logand a b
-  | Or -> Int64.logor a b
-  | Xor -> Int64.logxor a b
-  | Shl -> Int64.shift_left a (Int64.to_int b land 63)
-  | Shr -> Int64.shift_right a (Int64.to_int b land 63)
-
-let cmp_eval op a b =
-  match op with
-  | Eq -> Int64.equal a b
-  | Ne -> not (Int64.equal a b)
-  | Lt -> Int64.compare a b < 0
-  | Le -> Int64.compare a b <= 0
-  | Gt -> Int64.compare a b > 0
-  | Ge -> Int64.compare a b >= 0
-
 let alu_name = function
   | Add -> "add"
   | Sub -> "sub"

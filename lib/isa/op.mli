@@ -88,8 +88,5 @@ val branch_targets : t -> label list
 (** Labels this instruction may transfer control to within its function
     (excludes calls and spawns). *)
 
-val alu_eval : alu -> int64 -> int64 -> int64
-val cmp_eval : cmp -> int64 -> int64 -> bool
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -41,14 +41,29 @@ let test_classification () =
   check_bool "load" true (is_load (Load (W8, 40, 41, 0)));
   check_bool "chk.c no branch targets" true (branch_targets (Chk_c "s") = [])
 
+(* Instruction semantics live in [Exec.step] alone, so evaluate through
+   it: a one-block program computes r40 from r41 and r42 and prints it. *)
+let eval op a b =
+  let f =
+    Ssp_ir.Builder.of_blocks ~name:"main" ~nparams:0
+      [ ("entry", Op.[ Movi (41, a); Movi (42, b); op; Print 40; Halt ]) ]
+  in
+  let p = Ssp_ir.Prog.create ~entry:"main" in
+  Ssp_ir.Prog.add_func p f;
+  match (Ssp_sim.Funcsim.run p).Ssp_sim.Funcsim.outputs with
+  | [ v ] -> v
+  | _ -> Alcotest.fail "expected one output"
+
 let test_eval () =
   let open Op in
-  Alcotest.(check int64) "add" 7L (alu_eval Add 3L 4L);
-  Alcotest.(check int64) "div0" 0L (alu_eval Div 3L 0L);
-  Alcotest.(check int64) "shl" 8L (alu_eval Shl 1L 3L);
-  Alcotest.(check int64) "shr sign" (-1L) (alu_eval Shr (-2L) 1L);
-  check_bool "lt signed" true (cmp_eval Lt (-1L) 0L);
-  check_bool "ge" true (cmp_eval Ge 5L 5L)
+  let alu o a b = eval (Alu (o, 40, 41, 42)) a b in
+  let cmp o a b = Int64.equal (eval (Cmp (o, 40, 41, 42)) a b) 1L in
+  Alcotest.(check int64) "add" 7L (alu Add 3L 4L);
+  Alcotest.(check int64) "div0" 0L (alu Div 3L 0L);
+  Alcotest.(check int64) "shl" 8L (alu Shl 1L 3L);
+  Alcotest.(check int64) "shr sign" (-1L) (alu Shr (-2L) 1L);
+  check_bool "lt signed" true (cmp Lt (-1L) 0L);
+  check_bool "ge" true (cmp Ge 5L 5L)
 
 let test_bundles () =
   let open Op in
