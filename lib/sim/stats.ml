@@ -74,6 +74,35 @@ let add_category t c =
   let i = category_index c in
   t.categories.(i) <- t.categories.(i) + 1
 
+(* Largest-remainder apportionment: each category gets the floor of its
+   exact share of [cycles], and the units the floors leave over go to the
+   largest remainders (ties to the lower index). Splitting [cycles] as
+   [q * total + r] keeps every product below [total * total], so the
+   arithmetic is exact for any run under [max_cycles]. *)
+let scale_categories t ~cycles =
+  let c = t.categories in
+  let n = Array.length c in
+  let total = Array.fold_left ( + ) 0 c in
+  if total > 0 then begin
+    let q = cycles / total and r = cycles mod total in
+    let rem = Array.make n 0 in
+    let given = ref 0 in
+    for i = 0 to n - 1 do
+      let p = c.(i) * r in
+      c.(i) <- (c.(i) * q) + (p / total);
+      rem.(i) <- p mod total;
+      given := !given + c.(i)
+    done;
+    for _ = 1 to cycles - !given do
+      let best = ref 0 in
+      for i = 1 to n - 1 do
+        if rem.(i) > rem.(!best) then best := i
+      done;
+      c.(!best) <- c.(!best) + 1;
+      rem.(!best) <- -1
+    done
+  end
+
 let load_site t iref =
   match Ssp_ir.Iref.Tbl.find_opt t.loads iref with
   | Some s -> s

@@ -46,6 +46,11 @@ type t = {
 val create : unit -> t
 val category_index : category -> int
 val add_category : t -> category -> unit
+val scale_categories : t -> cycles:int -> unit
+(** Rescale the category counts in proportion so they sum to [cycles]
+    exactly (largest-remainder rounding). Sampled runs count categories
+    in detailed windows only and extrapolate them with this. *)
+
 val load_site : t -> Ssp_ir.Iref.t -> load_site
 
 val push_output : t -> int64 -> unit
